@@ -65,12 +65,16 @@ def filter_chunk(
     The warp loads the chunk coalesced and evaluates the predicates
     lane-parallel, so the charge is per 32-edge batch.
     """
-    if len(edges) == 0:
-        return edges, cost.step
-    batches = (len(edges) + WARP_SIZE - 1) // WARP_SIZE
-    cycles = batches * (cost.load_batch + cost.compact_batch)
-    kept = edges[edge_mask(graph, plan, edges, prune_degree)]
-    return kept, cycles
+    kept = edges[edge_mask(graph, plan, edges, prune_degree)] if len(edges) else edges
+    return kept, filter_cycles(len(edges), cost)
+
+
+def filter_cycles(num_edges: int, cost: CostModel) -> int:
+    """The device charge of filtering one fetched chunk of ``num_edges``."""
+    if num_edges == 0:
+        return cost.step
+    batches = (num_edges + WARP_SIZE - 1) // WARP_SIZE
+    return batches * (cost.load_batch + cost.compact_batch)
 
 
 def host_prefilter(

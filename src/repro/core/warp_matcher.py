@@ -34,12 +34,13 @@ import numpy as np
 
 from repro.core.candidates import filter_candidates, leaf_matches
 from repro.core.config import Strategy, TDFSConfig
-from repro.core.edge_filter import filter_chunk
+from repro.core.edge_filter import filter_chunk, filter_cycles
 from repro.core.intersect import intersect_sorted
 from repro.errors import IllegalAccessError
 from repro.gpusim.device import VirtualGPU, Warp
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels.frontier import FrontierTable
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.query.plan import MatchingPlan
 from repro.alloc.stack import WarpStack, LevelFactory
@@ -51,6 +52,46 @@ SYNC_INTERVAL = 64
 
 #: Maximum warps a child kernel launches (paper example: fanout 1024 → 32).
 MAX_CHILD_WARPS = 32
+
+#: Initial edge rows per frontier-table block (rounded up to whole chunks).
+#: Runs with fewer rows than one block build no table: below it there is
+#: nothing to amortize the build over.
+TABLE_BLOCK_ROWS = 1024
+
+
+class EdgeBlock:
+    """One block of initial edge rows, edge-filtered once, plus its table.
+
+    Chunks never straddle blocks, so a fetched chunk's kept rows are one
+    contiguous slice of ``kept`` and its first row is table node ``base``.
+    """
+
+    __slots__ = ("lo", "hi", "chunk_size", "kept", "cuts", "table")
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        chunk_size: int,
+        kept: np.ndarray,
+        kept_idx: np.ndarray,
+        table: Optional[FrontierTable],
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.chunk_size = chunk_size
+        self.kept = kept
+        #: ``kept[cuts[j]:cuts[j + 1]]`` are the kept rows of chunk ``j``.
+        self.cuts = np.searchsorted(
+            kept_idx, np.arange(0, hi - lo + chunk_size, chunk_size)
+        ).tolist()
+        self.table = table
+
+    def chunk(self, lo: int) -> tuple[np.ndarray, int]:
+        """Kept rows of the chunk starting at row ``lo`` and its first node id."""
+        j = (lo - self.lo) // self.chunk_size
+        a = self.cuts[j]
+        return self.kept[a : self.cuts[j + 1]], a
 
 
 class RunState:
@@ -81,6 +122,9 @@ class RunState:
         "aux_cands",
         "aux_pos",
         "inflight",
+        "table",
+        "chunk_base",
+        "cbase",
     )
 
     def __init__(self, num_levels: int, stack: WarpStack) -> None:
@@ -104,6 +148,12 @@ class RunState:
         #: expanded and is not yet owned by any level's ``filtered``/``iters``
         #: (e.g. an allocation inside ``_fill`` may abort mid-expansion).
         self.inflight: Optional[int] = None
+        #: Frontier table of the item being processed, the table node of
+        #: ``chunk[0]``, and per level the table node of ``filtered[p][0]``
+        #: (-1: not in the table).
+        self.table: Optional[FrontierTable] = None
+        self.chunk_base = -1
+        self.cbase = [-1] * num_levels
 
 
 class MatchJob:
@@ -185,6 +235,15 @@ class MatchJob:
         ]
         self._extra_idx = 0
         self._extra_cursor = 0
+        #: The frontier-table block chunks are being fetched from (see
+        #: :meth:`_edge_block`); ``_block_rows`` is decided at the first
+        #: fetch (0 = no tables).
+        self._block: Optional[EdgeBlock] = None
+        self._block_rows: Optional[int] = None
+        #: Edge tasks shipped from table chunks → ``(table, node)``: a
+        #: dequeued edge task is the same item (``valid_from == 2``), so
+        #: it replays from the table too.
+        self._shipped: dict[Task, tuple[FrontierTable, int]] = {}
         #: Host-side multiset of in-flight ``Q_task`` triples.  Armed only
         #: when the config carries a fault plan, retry policy, or periodic
         #: checkpointing: it lets the dequeue path *detect* corrupted ring
@@ -317,20 +376,33 @@ class MatchJob:
                     warp.charge(cost.chunk_fetch)
                     warp.stats.chunks += 1
                     chunk = self.edges[lo:hi]
+                    block = None
+                    base = -1
                     if not self.prefiltered and self.prefix_width == 2:
-                        chunk, cycles = filter_chunk(
-                            self.graph,
-                            self.plan,
-                            chunk,
-                            cost,
-                            prune_degree=self.config.enable_edge_filter,
-                        )
+                        block = self._edge_block(lo)
+                        if block is None:
+                            chunk, cycles = filter_chunk(
+                                self.graph,
+                                self.plan,
+                                chunk,
+                                cost,
+                                prune_degree=self.config.enable_edge_filter,
+                            )
+                        else:
+                            chunk, base = block.chunk(lo)
+                            cycles = filter_cycles(hi - lo, cost)
                         warp.charge(cycles)
                     if len(chunk):
                         self.busy += 1
                         st.busy_flag = True
                         t0 = warp.now
-                        yield from self._process_chunk(warp, st, chunk)
+                        yield from self._process_chunk(
+                            warp,
+                            st,
+                            chunk,
+                            block.table if block is not None else None,
+                            base,
+                        )
                         self.tracer.record(
                             "match", warp.wid, t0, warp.now, self.device
                         )
@@ -387,20 +459,91 @@ class MatchJob:
             yield warp.sync()
 
     # ------------------------------------------------------------------ #
+    # Frontier-table blocks
+    # ------------------------------------------------------------------ #
+
+    def _edge_block(self, lo: int) -> Optional[EdgeBlock]:
+        """The block holding the chunk just fetched at row ``lo``.
+
+        Built on the block's first fetch, dropped at its last.
+
+        ``None`` when this run builds no tables: the backend is not
+        batched, an intersection cache is configured, adjacency reads are
+        label-pruned, the run resumes recovered groups, or it has fewer
+        initial rows than one block.  (Prefiltered and non-edge rows never
+        get here.)
+        """
+        if self._block_rows is None:
+            on = (
+                self.backend.batched
+                and self.backend.cache is None
+                and self.plain_adjacency
+                and not self.extra_groups
+                and len(self.edges) >= TABLE_BLOCK_ROWS
+            )
+            cs = self.config.chunk_size
+            self._block_rows = -(-TABLE_BLOCK_ROWS // cs) * cs if on else 0
+        rows = self._block_rows
+        if not rows:
+            return None
+        block = self._block
+        if block is None:
+            # The cursor fetches chunks in order, so ``lo`` starts a block.
+            start = lo
+            hi = min(start + rows, len(self.edges))
+            edges = self.edges[start:hi]
+            # One edge-filter pass per block; the index column maps kept
+            # rows back to their chunks.  Each chunk is still charged its
+            # own filter cycles at fetch time.
+            tagged = np.column_stack(
+                [edges, np.arange(hi - start, dtype=edges.dtype)]
+            )
+            kept, _ = filter_chunk(
+                self.graph,
+                self.plan,
+                tagged,
+                self.cost,
+                prune_degree=self.config.enable_edge_filter,
+            )
+            rows_kept = np.ascontiguousarray(kept[:, :2])
+            block = EdgeBlock(
+                start,
+                hi,
+                self.config.chunk_size,
+                rows_kept,
+                kept[:, 2],
+                self.backend.frontier_table(self, rows_kept),
+            )
+            self._block = block
+        if self.cursor >= block.hi:
+            # Its last chunk is fetched: the warps still working on its
+            # chunks hold the table, and it goes when they are done.
+            self._block = None
+        return block
+
+    # ------------------------------------------------------------------ #
     # Work-item processing
     # ------------------------------------------------------------------ #
 
     def _process_chunk(
-        self, warp: Warp, st: RunState, edges: np.ndarray
+        self,
+        warp: Warp,
+        st: RunState,
+        edges: np.ndarray,
+        table: Optional[FrontierTable] = None,
+        base: int = -1,
     ) -> Generator[int, None, None]:
         """Process a chunk of initial work rows (Algorithm 4 lines 4–6).
 
         Rows are edges (width 2) in the standard pipeline, or deeper
-        prefixes when a hybrid BFS phase seeded the DFS.
+        prefixes when a hybrid BFS phase seeded the DFS.  With a frontier
+        ``table``, row ``j`` is its level-2 node ``base + j``.
         """
         width = edges.shape[1] if edges.ndim == 2 else 2
         st.chunk = edges
         st.chunk_pos = 0
+        st.table = table
+        st.chunk_base = base if table is not None else -1
         st.t0 = warp.now  # t0 is per chunk (Algorithm 4 line 6)
         while st.chunk_pos < len(st.chunk):
             if (
@@ -414,13 +557,16 @@ class MatchJob:
                 shipped = yield from self._enqueue_remaining_edges(warp, st)
                 if shipped:
                     st.chunk = None
+                    st.table = None
                     return
             row = st.chunk[st.chunk_pos]
+            node = st.chunk_base + st.chunk_pos if table is not None else -1
             st.chunk_pos += 1
             for i in range(width):
                 st.path[i] = int(row[i])
-            yield from self._process_item(warp, st, width)
+            yield from self._process_item(warp, st, width, node)
         st.chunk = None
+        st.table = None
 
     def _process_task(
         self, warp: Warp, st: RunState, task: Task
@@ -429,11 +575,15 @@ class MatchJob:
         st.path[0] = task.v1
         st.path[1] = task.v2
         prefix_len = 2
+        node = -1
         if task.v3 != PLACEHOLDER:
             st.path[2] = task.v3
             prefix_len = 3
+        elif self._shipped:
+            st.table, node = self._shipped.pop(task, (None, -1))
         st.t0 = warp.now
-        yield from self._process_item(warp, st, prefix_len)
+        yield from self._process_item(warp, st, prefix_len, node)
+        st.table = None
 
     def _process_stolen(
         self, warp: Warp, st: RunState, pending: tuple
@@ -465,8 +615,14 @@ class MatchJob:
     # ------------------------------------------------------------------ #
 
     def _process_item(
-        self, warp: Warp, st: RunState, prefix_len: int
+        self, warp: Warp, st: RunState, prefix_len: int, node: int = -1
     ) -> Generator[int, None, None]:
+        """DFS over one item; ``node`` is its table node (-1: none).
+
+        Table nodes take their sets and charges from ``st.table``; every
+        stateful step (stack writes, charges, tracer records, node ticks,
+        syncs, timeout checks, decomposition) runs exactly as without.
+        """
         cost = self.cost
         plan = self.plan
         k = plan.num_levels
@@ -486,27 +642,12 @@ class MatchJob:
         if prefix_len == k - 1:
             # The item's first unfilled position is the leaf: bulk count.
             st.inflight = prefix_len  # level.write may abort mid-expansion
-            raw, cycles = self._raw(st, prefix_len)
-            self.tracer.record(
-                "intersect", warp.wid, warp.now, warp.now + cycles, self.device
-            )
-            level = st.stack.level(prefix_len)
-            cycles += level.write(raw, cost)
-            leaves, leaf_cycles = leaf_matches(
-                self.graph,
-                plan,
-                st.path,
-                level.values(),
-                cost,
-                self.config.stmatch_removal,
-            )
-            warp.charge(cycles + leaf_cycles)
-            self._emit_leaves(warp, st, leaves, prefix_len)
+            self._leaf(warp, st, prefix_len, node, 0)
             st.inflight = None
             return
 
         pos = prefix_len
-        launched = yield from self._fill(warp, st, pos)
+        launched = yield from self._fill(warp, st, pos, node)
         if launched:
             return
         # Smallest batch the backend would accept at the leaf for this
@@ -538,8 +679,10 @@ class MatchJob:
                         continue
                     f = st.filtered[pos]
                     i = st.iters[pos]
+                cb = st.cbase[pos]
                 if (
                     pos + 1 == k - 1
+                    and cb < 0  # table leaves replay one by one below
                     and self.backend.batched
                     and not self.collect_limit
                 ):
@@ -558,28 +701,14 @@ class MatchJob:
                 st.iters[pos] = i + 1
                 st.path[pos] = v
                 nxt = pos + 1
+                child = cb + i if cb >= 0 else -1
                 if nxt == k - 1:
                     st.inflight = nxt  # level.write may abort mid-expansion
-                    raw, cycles = self._raw(st, nxt)
-                    self.tracer.record(
-                        "intersect", warp.wid, warp.now, warp.now + cycles, self.device
-                    )
-                    level = st.stack.level(nxt)
-                    cycles += level.write(raw, cost)
-                    leaves, leaf_cycles = leaf_matches(
-                        self.graph,
-                        plan,
-                        st.path,
-                        level.values(),
-                        cost,
-                        self.config.stmatch_removal,
-                    )
-                    warp.charge(cost.step + cycles + leaf_cycles)
-                    self._emit_leaves(warp, st, leaves, nxt)
+                    self._leaf(warp, st, nxt, child, cost.step)
                     st.inflight = None
                 else:
                     pos = nxt
-                    launched = yield from self._fill(warp, st, pos)
+                    launched = yield from self._fill(warp, st, pos, child)
                     if launched:
                         pos -= 1
             else:
@@ -801,10 +930,11 @@ class MatchJob:
         return result, cycles
 
     def _fill(
-        self, warp: Warp, st: RunState, pos: int
+        self, warp: Warp, st: RunState, pos: int, node: int = -1
     ) -> Generator[int, None, bool]:
         """Extend ``stack[pos]`` (Algorithm 2 line 6 / Algorithm 4 line 11).
 
+        ``node`` is the table node whose sets to replay (-1: compute them).
         Returns True when a child kernel took over this level (NEW_KERNEL).
         """
         cost = self.cost
@@ -816,21 +946,40 @@ class MatchJob:
         # path[:pos] is only reachable through the inflight marker — a stack
         # page allocation inside level.write may abort right here.
         st.inflight = pos
-        raw, raw_cycles = self._raw(st, pos)
+        lv = st.table[pos] if node >= 0 else None
+        if lv is not None and node < lv.built:
+            lo, hi, f_lo, f_hi, raw_cycles, filter_cycles, inter, _ = (
+                lv.rows[node].tolist()
+            )
+            # Copies, not views: a view would pin the whole table in
+            # this warp's stack after the block is released.
+            raw = lv.raw[lo:hi].copy()
+            self.intersections += inter
+            self.reuse_hits += lv.reuse
+        else:
+            lv = None
+            raw, raw_cycles = self._raw(st, pos)
         self.tracer.record(
             "intersect", warp.wid, warp.now, warp.now + raw_cycles, self.device
         )
         level = st.stack.level(pos)
         cycles += raw_cycles + level.write(raw, cost)
-        filtered, filter_cycles = filter_candidates(
-            self.graph,
-            self.plan,
-            st.path,
-            pos,
-            level.values(),
-            cost,
-            self.config.stmatch_removal,
-        )
+        if lv is not None and level.length == raw.size:
+            filtered = lv.vals[f_lo:f_hi].copy()
+            st.cbase[pos] = f_lo
+        else:
+            # No table node, or the level truncated: filter what is stored
+            # (its children are then off the table too).
+            filtered, filter_cycles = filter_candidates(
+                self.graph,
+                self.plan,
+                st.path,
+                pos,
+                level.values(),
+                cost,
+                self.config.stmatch_removal,
+            )
+            st.cbase[pos] = -1
         warp.charge(cycles + filter_cycles)
         st.filtered[pos] = filtered
         st.iters[pos] = 0
@@ -842,6 +991,46 @@ class MatchJob:
             yield from self._spawn_child_kernel(warp, st, pos)
             return True
         return False
+
+    def _leaf(
+        self, warp: Warp, st: RunState, pos: int, node: int, extra: int
+    ) -> None:
+        """Expand the leaf position ``pos`` and count its matches in bulk.
+
+        ``node`` is the table node to replay (-1: compute); ``extra`` is
+        charged together with the expansion (the caller's node step).
+        """
+        cost = self.cost
+        lv = st.table[pos] if node >= 0 else None
+        if lv is not None and node < lv.built:
+            lo, hi, _, _, cycles, leaf_cycles, inter, n = lv.rows[node].tolist()
+            raw = lv.raw[lo:hi].copy()
+            self.intersections += inter
+            self.reuse_hits += lv.reuse
+        else:
+            lv = None
+            raw, cycles = self._raw(st, pos)
+        self.tracer.record(
+            "intersect", warp.wid, warp.now, warp.now + cycles, self.device
+        )
+        level = st.stack.level(pos)
+        cycles += level.write(raw, cost)
+        if lv is not None and level.length == raw.size and not self.collect_limit:
+            warp.charge(extra + cycles + leaf_cycles)
+            self._emit(warp, n)
+            return
+        # No table node, a truncated level (rescan what was stored — how
+        # STMatch's wrong counts arise), or matches to collect.
+        leaves, leaf_cycles = leaf_matches(
+            self.graph,
+            self.plan,
+            st.path,
+            level.values(),
+            cost,
+            self.config.stmatch_removal,
+        )
+        warp.charge(extra + cycles + leaf_cycles)
+        self._emit_leaves(warp, st, leaves, pos)
 
     def _emit(self, warp: Warp, n: int) -> None:
         if n:
@@ -912,6 +1101,8 @@ class MatchJob:
                 self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
                 return False
             self._journal_add(task)
+            if st.table is not None:
+                self._shipped[task] = (st.table, st.chunk_base + st.chunk_pos)
             warp.stats.tasks_enqueued += 1
             st.chunk_pos += 1
         self.tracer.record("steal", warp.wid, span0, warp.now, self.device)

@@ -12,7 +12,9 @@ Two implementations ship:
 * :class:`~repro.kernels.scalar.ScalarBackend` — the reference per-candidate
   path (the matcher's original code path, unchanged).
 * :class:`~repro.kernels.vectorized.VectorizedBackend` — block-level leaf
-  expansion: one NumPy pass per sync window over CSR segment slices.
+  expansion: one NumPy pass per sync window over CSR segment slices, plus
+  frontier tables (:mod:`repro.kernels.frontier`) that expand whole blocks
+  of initial edges level by level for the matcher to replay.
 
 Both optionally carry an :class:`~repro.kernels.cache.IntersectionCache`
 shared across runs (``repro.serve`` shares one per service so timeout-steal
@@ -31,6 +33,7 @@ from repro.kernels.cache import IntersectionCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.warp_matcher import MatchJob, RunState
+    from repro.kernels.frontier import FrontierTable
 
 
 @dataclass
@@ -136,5 +139,17 @@ class KernelBackend(abc.ABC):
         Return ``None`` to decline (unsupported list shape, empty batch) —
         the matcher then falls back to the per-candidate scalar path, which
         is always charge-identical.
+        """
+        return None
+
+    def frontier_table(
+        self, job: "MatchJob", rows: np.ndarray
+    ) -> Optional["FrontierTable"]:
+        """Expand a block of kept initial edge ``rows`` breadth-first.
+
+        Returns the per-node results the matcher replays each item's DFS
+        from (see :mod:`repro.kernels.frontier`), or ``None`` to leave the
+        block to the per-node path — which the reference backend always
+        does.
         """
         return None

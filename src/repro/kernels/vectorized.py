@@ -110,6 +110,19 @@ class VectorizedBackend(KernelBackend):
     def __init__(self, cache=None, min_batch: Optional[int] = None) -> None:
         super().__init__(cache)
         self.min_batch = self.MIN_BATCH if min_batch is None else int(min_batch)
+        self._keys_graph = None
+        self._keys: Optional[np.ndarray] = None
+
+    def frontier_table(self, job: "MatchJob", rows: np.ndarray):
+        # Imported here: the frontier module imports this one's cost ports.
+        from repro.kernels.frontier import build_frontier_table, edge_keys
+
+        # The edge keys are per graph, built once for every block of a run
+        # and dropped with the backend (so with the run, unless shared).
+        if self._keys_graph is not job.graph:
+            self._keys = edge_keys(job.graph)
+            self._keys_graph = job.graph
+        return build_frontier_table(job, rows, self._keys)
 
     def block_threshold(
         self, job: "MatchJob", st: "RunState", position: int

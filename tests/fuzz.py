@@ -17,6 +17,7 @@ pass to :func:`case_graph`/:func:`case_query` (0 unlabeled, +500 labeled,
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from repro import TDFSConfig
@@ -89,6 +90,50 @@ def fuzz_cases(count: int, base: int = 0, num_labels=None):
         else:
             graph = case_graph(seed)
         yield seed, graph, case_query(seed, num_labels=num_labels)
+
+
+def brute_force_count(graph, query) -> int:
+    """Distinct subgraph matches of ``query`` in ``graph``, plan-free.
+
+    An independent oracle for tiny graphs: it shares no code with
+    ``compile_plan`` (no matching order, reuse plan or symmetry
+    constraints).  It counts every injective, edge- and label-preserving
+    map of the query vertices in id order by plain backtracking, then
+    divides by ``|Aut(query)|``, found by trying every vertex permutation.
+    """
+    k = query.num_vertices
+    edges = set(query.edges())
+    labels = [query.label(u) for u in range(k)]
+    aut = sum(
+        1
+        for perm in itertools.permutations(range(k))
+        if all(labels[perm[u]] == labels[u] for u in range(k))
+        and all(
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges
+            for u, v in edges
+        )
+    )
+    back = [[v for v in range(u) if query.has_edge(u, v)] for u in range(k)]
+    adjacency = [set(int(w) for w in graph.neighbors(v)) for v in range(graph.num_vertices)]
+    vertex_labels = [graph.label(v) for v in range(graph.num_vertices)]
+
+    def extend(assigned: list) -> int:
+        u = len(assigned)
+        if u == k:
+            return 1
+        total = 0
+        for v in range(graph.num_vertices):
+            if (
+                v not in assigned
+                and (not query.is_labeled or vertex_labels[v] == labels[u])
+                and all(v in adjacency[assigned[b]] for b in back[u])
+            ):
+                total += extend(assigned + [v])
+        return total
+
+    embeddings = extend([])
+    assert embeddings % aut == 0, (embeddings, aut)
+    return embeddings // aut
 
 
 def delta_stream_cases(

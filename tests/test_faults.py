@@ -400,18 +400,17 @@ def test_multi_gpu_collect_clamps_at_limit(graph):
 
 
 # --------------------------------------------------------------------------- #
-# Satellite fix: StackOverflowError_ rename + deprecation alias
+# StackOverflowError_ was renamed to StackLevelOverflowError; the old name
+# is gone
 # --------------------------------------------------------------------------- #
 
 
-def test_stack_overflow_error_renamed_with_alias():
+def test_stack_overflow_error_old_name_removed():
     import repro.errors
 
-    from repro.errors import StackLevelOverflowError
-
-    with pytest.warns(DeprecationWarning, match="StackOverflowError_"):
-        old = repro.errors.StackOverflowError_
-    assert old is StackLevelOverflowError
+    assert issubclass(repro.errors.StackLevelOverflowError, repro.errors.ReproError)
+    with pytest.raises(AttributeError):
+        repro.errors.StackOverflowError_
     with pytest.raises(AttributeError):
         repro.errors.NoSuchName
 

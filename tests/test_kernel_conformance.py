@@ -14,7 +14,10 @@ timeout-steal and half-steal schedules, paged and truncating array
 stacks, the non-T-DFS engines, and empty/degenerate frontiers.  White-box
 tests force block engagement with ``VectorizedBackend(min_batch=1)`` so
 tiny graphs still cover the batched path, and pin the
-``intersect_sorted`` out-of-range clamp.
+``intersect_sorted`` out-of-range clamp.  The frontier-table suite shrinks
+the table's block and gate constants so tiny graphs replay their DFS from
+tables, and checks them against the scalar backend and a plan-free
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +25,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.warp_matcher as warp_matcher
+import repro.kernels.frontier as frontier
 from repro import TDFSConfig, from_edges, match
 from repro.core.config import StackMode, Strategy
+from repro.core.engine import TDFSEngine
+from repro.faults import FaultPlan, RetryPolicy
+from repro.faults.recovery import snapshot_pending_work
+from repro.graph.generators import erdos_renyi
+from repro.query.patterns import get_pattern
 from repro.core.intersect import intersect_sorted
 from repro.errors import ReproError
 from repro.graph.builder import relabel_random
@@ -37,9 +47,12 @@ from repro.kernels import (
 )
 from tests.fuzz import (  # shared case space (see tests/fuzz.py)
     FAST,
+    HALF_STEAL,
     SEED_BASE,
     STEAL,
+    brute_force_count,
     case_graph,
+    case_labeled_graph,
     case_query,
 )
 
@@ -241,6 +254,202 @@ class TestForcedBlockEngagement:
         )
         for f in CONFORMANCE_FIELDS:
             assert getattr(scalar, f) == getattr(vec, f)
+
+
+# --------------------------------------------------------------------------- #
+# Frontier tables (repro.kernels.frontier)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Build frontier tables on tiny graphs; returns the tables built.
+
+    16-row blocks pass the "at least one block of initial rows" gate on
+    every case graph.
+    """
+    monkeypatch.setattr(warp_matcher, "TABLE_BLOCK_ROWS", 16)
+    built = []
+    inner = frontier.build_frontier_table
+
+    def spy(job, rows, keys):
+        table = inner(job, rows, keys)
+        built.append(table)
+        return table
+
+    monkeypatch.setattr(frontier, "build_frontier_table", spy)
+    return built
+
+
+def assert_table_conformant(graph, query, config, engine="tdfs", label=""):
+    """Scalar vs vectorized (tables on): conformance fields, chunk fetches,
+    simulator events and the device peak must all be identical."""
+    scalar, vec = assert_conformant(graph, query, config, engine, label)
+    for name, get in (
+        ("chunks_fetched", lambda r: r.chunks_fetched),
+        ("sim.events", lambda r: (r.metrics or {}).get("sim.events")),
+        ("device peak", lambda r: r.memory.device_peak_bytes),
+    ):
+        assert get(scalar) == get(vec), (
+            f"{label}: backends diverge on {name}: {get(scalar)} vs {get(vec)}"
+        )
+    return scalar, vec
+
+
+class TestFrontierTableConformance:
+    """Tables replay the scalar DFS exactly, in every regime."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_unlabeled(self, tables, case):
+        seed = SEED_BASE + 1000 + case
+        assert_table_conformant(case_graph(seed), case_query(seed), FAST)
+        assert any(t is not None for t in tables)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_labeled(self, tables, case):
+        seed = SEED_BASE + 1100 + case
+        assert_table_conformant(
+            case_labeled_graph(seed), case_query(seed, num_labels=4), FAST
+        )
+
+    @pytest.mark.parametrize("pattern", ["P2", "P3", "P5"])
+    def test_tiny_tau_timeouts(self, tables, small_plc, pattern):
+        scalar, _ = assert_table_conformant(small_plc, pattern, STEAL)
+        assert scalar.timeouts > 0
+
+    @pytest.mark.parametrize("pattern", ["P3", "P9"])
+    def test_dequeued_edge_tasks(self, tables, small_plc, pattern):
+        # Full 8-row chunks time out mid-chunk and ship their remaining
+        # edges as 2-vertex tasks, which replay from the shipping table.
+        cfg = FAST.replace(tau_cycles=400)
+        scalar, _ = assert_table_conformant(small_plc, pattern, cfg)
+        assert scalar.queue.enqueued > 0
+
+    def test_half_steal(self, tables, skewed_graph):
+        scalar, _ = assert_table_conformant(skewed_graph, "P3", HALF_STEAL)
+        assert scalar.steals > 0
+
+    def test_new_kernel(self, tables, small_plc):
+        cfg = FAST.replace(strategy=Strategy.NEW_KERNEL, new_kernel_fanout=4)
+        assert_table_conformant(small_plc, "P3", cfg)
+
+    def test_truncating_array_stacks(self, tables, small_plc):
+        cfg = FAST.replace(
+            stack_mode=StackMode.ARRAY_FIXED,
+            fixed_capacity=8,
+            truncate_on_overflow=True,
+        )
+        scalar, _ = assert_table_conformant(small_plc, "P3", cfg)
+        assert scalar.overflowed
+
+    @pytest.mark.parametrize("pattern", ["P4", "P6", "P9"])
+    def test_reuse_off(self, tables, small_plc, pattern):
+        cfg = FAST.replace(enable_reuse=False)
+        assert_table_conformant(small_plc, pattern, cfg)
+
+    @pytest.mark.parametrize("pattern", ["P3", "P7"])
+    def test_stmatch_removal(self, tables, small_plc, pattern):
+        cfg = FAST.replace(stmatch_removal=True)
+        assert_table_conformant(small_plc, pattern, cfg)
+
+    @pytest.mark.parametrize("engine", ["stmatch", "egsm"])
+    def test_baseline_engines(self, tables, small_plc, labeled_plc, engine):
+        assert_table_conformant(small_plc, "P2", FAST, engine=engine)
+        assert_table_conformant(
+            labeled_plc, case_query(7, num_labels=4), FAST, engine=engine
+        )
+
+    def test_level_cap_falls_back(self, tables, small_plc, monkeypatch):
+        # A cap below one node's list leaves whole levels to the scalar path.
+        monkeypatch.setattr(frontier, "LEVEL_CAP", 12)
+        assert_table_conformant(small_plc, "P3", FAST)
+        assert any(
+            lv.built < len(t[p - 1].vals)
+            for t in tables
+            if t is not None
+            for p, lv in enumerate(t)
+            if p > 2
+        )
+
+    def test_fault_plan_recovery(self, tables, small_plc):
+        cfg = FAST.replace(fault_plan=FaultPlan.seeded(3), retry=RetryPolicy())
+        scalar, vec = assert_table_conformant(small_plc, "P3", cfg)
+        assert scalar.recovery == vec.recovery
+        assert scalar.recovery.faults_injected > 0
+
+    def test_checkpoint_and_resume(self, tables, small_plc):
+        snapshots = {}
+        for backend in ("scalar", "vectorized"):
+            taken = snapshots[backend] = []
+
+            def hook(job, now, taken=taken):
+                groups = snapshot_pending_work(job)
+                taken.append((job.count, [(r.tolist(), w) for r, w in groups]))
+
+            cfg = FAST.replace(
+                kernel_backend=backend,
+                checkpoint_every_events=40,
+                checkpoint_hook=hook,
+            )
+            full = match(small_plc, "P3", config=cfg)
+        assert len(snapshots["scalar"]) > 1
+        assert snapshots["scalar"] == snapshots["vectorized"]
+        base, groups = snapshots["vectorized"][len(snapshots["vectorized"]) // 2]
+        groups = [(np.asarray(r, dtype=np.int64), w) for r, w in groups]
+        resumed = TDFSEngine(FAST).run_resume(
+            small_plc, get_pattern("P3"), groups, base
+        )
+        assert resumed.count == full.count
+
+    def test_collect_matches(self, tables, small_plc):
+        runs = [
+            TDFSEngine(FAST.replace(kernel_backend=b)).run(
+                small_plc, get_pattern("P3"), collect_matches=500
+            )
+            for b in ("scalar", "vectorized")
+        ]
+        assert runs[0].matches == runs[1].matches
+        assert runs[0].elapsed_cycles == runs[1].elapsed_cycles
+
+    def test_block_boundary_inside_timeout_decomposition(
+        self, tables, small_plc, monkeypatch
+    ):
+        # 3-row blocks round up to 4 rows (two 2-row chunks), so block
+        # boundaries fall between the chunks that timeouts split and ship.
+        monkeypatch.setattr(warp_matcher, "TABLE_BLOCK_ROWS", 3)
+        scalar, _ = assert_table_conformant(small_plc, "P3", STEAL)
+        assert scalar.timeouts > 0
+        assert sum(t is not None for t in tables) > 1
+
+    def test_scalar_backend_never_builds_a_table(self, tables, small_plc):
+        match(small_plc, "P3", config=FAST.replace(kernel_backend="scalar"))
+        assert tables == []
+        assert ScalarBackend().frontier_table(None, np.empty((0, 2))) is None
+
+    def test_small_runs_skip_the_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            frontier, "build_frontier_table", lambda *a: built.append(a)
+        )
+        graph = erdos_renyi(60, 4.0, seed=1)
+        assert graph.num_directed_edges < warp_matcher.TABLE_BLOCK_ROWS
+        match(graph, "P3", config=FAST)
+        assert built == []
+
+
+class TestBruteForceOracle:
+    """Counts from the table path against a plan-free brute-force oracle."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unlabeled_patterns(self, tables, seed):
+        graph = erdos_renyi(11, 4.0, seed=SEED_BASE + 1200 + seed)
+        for p in range(1, 12):
+            query = get_pattern(f"P{p}")
+            result = match(graph, query, config=FAST)
+            assert result.count == brute_force_count(graph, query), (
+                f"P{p} on seed {seed}"
+            )
+        assert any(t is not None for t in tables)
 
 
 class TestIntersectSortedClamp:
