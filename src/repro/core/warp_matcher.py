@@ -54,8 +54,12 @@ SYNC_INTERVAL = 64
 MAX_CHILD_WARPS = 32
 
 #: Initial edge rows per frontier-table block (rounded up to whole chunks).
-#: Runs with fewer rows than one block build no table: below it there is
-#: nothing to amortize the build over.
+#: Runs with fewer rows than one block build no table.  Not because small
+#: tables cannot pay: a 64-row gate runs perfbench's `oneshot-deep` query
+#: sets about 3x faster.  But a gate small enough to reach the two-row
+#: anchored runs of incremental matching slows them, smaller gates cost
+#: peak memory, and perfbench's per-layer checks expect `oneshot-deep` to
+#: run the per-node path; see DESIGN.md §9.1.
 TABLE_BLOCK_ROWS = 1024
 
 
@@ -240,10 +244,19 @@ class MatchJob:
         #: fetch (0 = no tables).
         self._block: Optional[EdgeBlock] = None
         self._block_rows: Optional[int] = None
-        #: Edge tasks shipped from table chunks → ``(table, node)``: a
-        #: dequeued edge task is the same item (``valid_from == 2``), so
-        #: it replays from the table too.
+        #: Tasks shipped from table items → ``(table, node)``.  A dequeued
+        #: edge task is the same item (``valid_from == 2``), so it replays
+        #: from the table too.  A 3-vertex task does as well, unless a reuse
+        #: entry seeds from position 2: its item (``valid_from == 3``)
+        #: recomputes that set as an intersection, so it stays scalar.
         self._shipped: dict[Task, tuple[FrontierTable, int]] = {}
+        self._ship_level3 = not (
+            config.enable_reuse
+            and any(
+                plan.reuse[p].reuses and plan.reuse[p].source == 2
+                for p in range(3, plan.num_levels)
+            )
+        )
         #: Host-side multiset of in-flight ``Q_task`` triples.  Armed only
         #: when the config carries a fault plan, retry policy, or periodic
         #: checkpointing: it lets the dequeue path *detect* corrupted ring
@@ -579,7 +592,7 @@ class MatchJob:
         if task.v3 != PLACEHOLDER:
             st.path[2] = task.v3
             prefix_len = 3
-        elif self._shipped:
+        if self._shipped:
             st.table, node = self._shipped.pop(task, (None, -1))
         st.t0 = warp.now
         yield from self._process_item(warp, st, prefix_len, node)
@@ -1079,6 +1092,8 @@ class MatchJob:
                 self.tracer.record("steal", warp.wid, span0, warp.now, self.device)
                 return False
             self._journal_add(task)
+            if st.cbase[pos] >= 0 and self._ship_level3:
+                self._shipped[task] = (st.table, st.cbase[pos] + st.iters[pos])
             warp.stats.tasks_enqueued += 1
             st.iters[pos] += 1
         self.tracer.record("steal", warp.wid, span0, warp.now, self.device)

@@ -28,9 +28,12 @@ raw sets for reuse seeds.  Step ``t`` runs only while the running result is
 non-empty (the first step always runs) and charges
 ``intersect_cost(running_size, next_size)``.
 
-Levels are capped: a level computes the longest prefix of its nodes whose
-gathered elements fit :data:`LEVEL_CAP`; nodes past it (and their subtrees)
-are left to the scalar path, as are nodes whose stack write truncated.
+Every node of a level is built, in slices of at most :data:`SLICE_CAP`
+gathered elements, so that constant bounds the build's element-wise
+temporaries and not the level.  A table as a whole keeps the longest
+prefix of each level's nodes whose gathers fit what is left of
+:data:`TABLE_BUDGET`; nodes past it (and their subtrees) are left to the
+scalar path, as are nodes whose stack write truncated.
 """
 
 from __future__ import annotations
@@ -48,14 +51,24 @@ from repro.kernels.vectorized import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.warp_matcher import MatchJob
 
-#: Gathered elements (smallest-list sizes) a level may hold.  Bounds the
-#: table's memory and every temporary of its build.
-LEVEL_CAP = 4096
+#: Gathered elements (smallest-list sizes) one build slice may hold.  Bounds
+#: the build's gather, probe and filter temporaries; a level takes as many
+#: slices as it needs.
+SLICE_CAP = 4096
+
+#: Gathered elements one table may hold over all its levels.  Bounds the
+#: table's memory, and with it every set, offset and charge in its rows.
+TABLE_BUDGET = 1 << 18
 
 #: Columns of :attr:`TableLevel.rows`.
+NUM_COLUMNS = 8
 RAW_LO, RAW_HI, F_LO, F_HI, RAW_CYCLES, FILTER_CYCLES, INTERSECTIONS, COUNT = (
-    range(8)
+    range(NUM_COLUMNS)
 )
+
+#: dtype of :attr:`TableLevel.rows`: :data:`TABLE_BUDGET` keeps every column
+#: far inside int32.
+ROW_DTYPE = np.int32
 
 
 class TableLevel:
@@ -116,6 +129,15 @@ def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offs, seg, local
 
 
+def _concat(parts: list, dtype) -> np.ndarray:
+    """The slices' parts of one level array as one array."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts)
+
+
 def _member(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Boolean membership of ``probe`` in the sorted ``keys``."""
     if keys.size == 0:
@@ -130,59 +152,137 @@ def build_frontier_table(
 
     ``keys`` is :func:`edge_keys` of the job's graph.
     """
-    plan, graph, cfg, cost = job.plan, job.graph, job.config, job.cost
-    k = plan.num_levels
-    if k < 3 or len(rows) == 0:
+    if job.plan.num_levels < 3 or len(rows) == 0:
         return None
-    n1 = graph.num_vertices + 1
-    row_ptr, col_idx, degrees = graph.row_ptr, graph.col_idx, graph.degrees
-    labeled = plan.is_labeled and graph.is_labeled
-    # Reuse seeds are live for edge items (valid_from == 2) when the
-    # source position is at least 2; sources are the levels whose node
-    # ids every descendant must carry (``anc``) and whose keyed raw sets
-    # answer membership probes (``seed_keys``).
-    reuse_src = [
-        plan.reuse[p].source
-        if cfg.enable_reuse and plan.reuse[p].reuses and plan.reuse[p].source >= 2
-        else -1
-        for p in range(k)
-    ]
-    sources = {s for s in reuse_src if s >= 0}
-    seed_keys: dict[int, np.ndarray] = {}
+    return _Build(job, keys).run(rows)
 
-    # The path prefix of every node at the current level, one column per
-    # matched position, and the ancestor ids at each reuse-source level.
-    path = rows.astype(np.int32)
-    anc: dict[int, np.ndarray] = {}
-    levels: list = [None, None]
-    for p in range(2, k):
-        n = path.shape[0]
-        src = reuse_src[p]
-        if src >= 0:
-            lists = [("seed", src)] + [("adj", j) for j in plan.reuse[p].remaining]
-        else:
-            lists = [("adj", j) for j in plan.backward[p]]
-        sizes = np.empty((n, len(lists)), dtype=np.int64)
-        for li, (kind, ref) in enumerate(lists):
-            if kind == "adj":
-                sizes[:, li] = degrees[path[:, ref]]
+
+class _Build:
+    """One table build: the job's constants and the levels built so far."""
+
+    def __init__(self, job: "MatchJob", keys: np.ndarray) -> None:
+        plan, graph, cfg = job.plan, job.graph, job.config
+        self.plan, self.graph, self.cost, self.keys = plan, graph, job.cost, keys
+        self.stmatch_removal = cfg.stmatch_removal
+        self.labeled = plan.is_labeled and graph.is_labeled
+        self.n1 = graph.num_vertices + 1
+        # Reuse seeds are live for edge items (valid_from == 2) when the
+        # source position is at least 2; sources are the levels whose node
+        # ids every descendant must carry (``anc``) and whose keyed raw sets
+        # answer membership probes (``seed_keys``).
+        self.reuse_src = [
+            plan.reuse[p].source
+            if cfg.enable_reuse
+            and plan.reuse[p].reuses
+            and plan.reuse[p].source >= 2
+            else -1
+            for p in range(plan.num_levels)
+        ]
+        self.seed_keys: dict[int, np.ndarray] = {}
+        self.levels: list = [None, None]
+
+    def run(self, rows: np.ndarray) -> FrontierTable:
+        plan, degrees = self.plan, self.graph.degrees
+        k = plan.num_levels
+        sources = {s for s in self.reuse_src if s >= 0}
+        # The path prefix of every node at the current level, one column per
+        # matched position, and the ancestor ids at each reuse-source level.
+        path = rows.astype(np.int32)
+        anc: dict[int, np.ndarray] = {}
+        budget = TABLE_BUDGET
+        for p in range(2, k):
+            n = path.shape[0]
+            if n == 0:
+                break
+            src = self.reuse_src[p]
+            if src >= 0:
+                lists = [("seed", src)]
+                lists += [("adj", j) for j in plan.reuse[p].remaining]
             else:
-                r = levels[ref].rows[anc[ref]]
-                sizes[:, li] = r[:, RAW_HI] - r[:, RAW_LO]
+                lists = [("adj", j) for j in plan.backward[p]]
+            sizes = np.empty((n, len(lists)), dtype=np.int64)
+            for li, (kind, ref) in enumerate(lists):
+                if kind == "adj":
+                    sizes[:, li] = degrees[path[:, ref]]
+                else:
+                    r = self.levels[ref].rows[anc[ref]]
+                    sizes[:, li] = r[:, RAW_HI] - r[:, RAW_LO]
+
+            # The budget keeps the longest prefix of nodes whose gathers
+            # (each node's smallest list) fit; slices of at most SLICE_CAP
+            # gathered elements build it (a larger node gets one alone).
+            cum = np.cumsum(sizes.min(axis=1))
+            built = int(np.searchsorted(cum, budget, side="right"))
+            if built:
+                budget -= int(cum[built - 1])
+            out = np.empty((built, NUM_COLUMNS), dtype=ROW_DTYPE)
+            raws, vals, parents = [], [], []
+            a = r0 = v0 = 0
+            while a < built:
+                top = (int(cum[a - 1]) if a else 0) + SLICE_CAP
+                b = int(np.searchsorted(cum, top, side="right"))
+                b = min(max(b, a + 1), built)
+                raw, val, parent = self._slice(
+                    p, lists, sizes[a:b], path[a:b],
+                    {s: x[a:b] for s, x in anc.items()}, out[a:b], r0, v0,
+                )
+                raws.append(raw)
+                r0 += raw.size
+                if val is not None:
+                    vals.append(val)
+                    parents.append(parent + a)
+                    v0 += val.size
+                a = b
+            raw = _concat(raws, self.graph.col_idx.dtype)
+            leaf = p == k - 1
+            val = None if leaf else _concat(vals, np.int32)
+            self.levels.append(TableLevel(out, raw, val, int(src >= 0)))
+            if p in sources:
+                owner = np.repeat(
+                    np.arange(built, dtype=np.int64),
+                    out[:, RAW_HI] - out[:, RAW_LO],
+                )
+                self.seed_keys[p] = owner * self.n1 + raw
+            if leaf:
+                break
+
+            # Children become the next level's nodes.
+            parent = _concat(parents, np.int32)
+            path = np.column_stack([path[parent], val])
+            anc = {s: x[parent] for s, x in anc.items()}
+            if p in sources:
+                anc[p] = parent
+        return self.levels
+
+    def _slice(
+        self,
+        p: int,
+        lists: list,
+        sizes: np.ndarray,
+        path: np.ndarray,
+        anc: dict[int, np.ndarray],
+        out: np.ndarray,
+        r0: int,
+        v0: int,
+    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Build the level-``p`` nodes with prefixes ``path`` into ``out``.
+
+        ``sizes`` and ``anc`` are those nodes' list sizes and ancestor ids,
+        ``out`` their rows; ``r0``/``v0`` are the level's raw and child
+        elements before the slice.  Returns the slice's raw sets, children
+        and the children's parent node ids (slice-local; both ``None`` at
+        the leaf).
+        """
+        plan, graph, cost = self.plan, self.graph, self.cost
+        row_ptr, col_idx, degrees = graph.row_ptr, graph.col_idx, graph.degrees
+        levels, n1 = self.levels, self.n1
+        n = path.shape[0]
         if len(lists) > 1:
             order = np.argsort(sizes, axis=1, kind="stable")
         else:
             order = np.zeros((n, 1), dtype=np.int64)
         nodes = np.arange(n)
         gather = sizes[nodes, order[:, 0]]
-
-        # Cap: the longest prefix of nodes whose gathers fit.
-        built = int(np.searchsorted(np.cumsum(gather), LEVEL_CAP, side="right"))
-        if built < n:
-            n = built
-            path, sizes, order, gather = path[:n], sizes[:n], order[:n], gather[:n]
-            nodes = nodes[:n]
-            anc = {s: a[:n] for s, a in anc.items()}
 
         # Gather each node's smallest list.
         offs, seg, local = _segments(gather)
@@ -223,18 +323,18 @@ def build_frontier_table(
                     continue
                 if kind == "adj":
                     owner = path[seg[sel], ref].astype(np.int64)
-                    alive[sel] = _member(keys, owner * n1 + cand[sel])
+                    alive[sel] = _member(self.keys, owner * n1 + cand[sel])
                 else:
                     owner = anc[ref][seg[sel]].astype(np.int64)
-                    alive[sel] = _member(seed_keys[ref], owner * n1 + cand[sel])
+                    alive[sel] = _member(self.seed_keys[ref], owner * n1 + cand[sel])
             running = np.bincount(seg[alive], minlength=n)
 
         # Static filters (label, minimum degree), as ``_static_filter``.
         keep = alive
         need_degree = plan.degrees[p] > 1
-        if labeled or need_degree:
+        if self.labeled or need_degree:
             smask = np.ones(cand.size, dtype=bool)
-            if labeled:
+            if self.labeled:
                 smask &= graph.labels[cand] == plan.labels[p]
             if need_degree:
                 smask &= degrees[cand] >= plan.degrees[p]
@@ -245,13 +345,11 @@ def build_frontier_table(
         raw_sizes = np.bincount(rseg, minlength=n)
         raw_offs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(raw_sizes, out=raw_offs[1:])
-        if p in sources:
-            seed_keys[p] = rseg.astype(np.int64) * n1 + raw
 
         # Selection filters, as ``filter_candidates``.
         filter_cycles = filter_cost_vec(cost, raw_sizes)
         fmask = degrees[raw] >= plan.degrees[p]
-        if labeled:
+        if self.labeled:
             fmask &= graph.labels[raw] == plan.labels[p]
         cons = plan.constraints[p]
         if cons:
@@ -259,7 +357,7 @@ def build_frontier_table(
             fmask &= raw > bound[rseg]
         for j in range(p):
             fmask &= raw != path[rseg, j]
-        if cfg.stmatch_removal:
+        if self.stmatch_removal:
             filter_cycles += np.where(
                 raw_sizes > 0,
                 intersect_cost_vec(cost, raw_sizes, np.full(n, max(1, p))),
@@ -267,31 +365,18 @@ def build_frontier_table(
             )
         fseg = rseg[fmask]
         f_sizes = np.bincount(fseg, minlength=n)
-        f_offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(f_sizes, out=f_offs[1:])
 
-        leaf = p == k - 1
-        if leaf:
-            filter_cycles += f_sizes * cost.emit_match
-            vals = None
-            f_lo = f_hi = np.zeros(n, dtype=np.int64)
-        else:
-            vals = raw[fmask]
-            f_lo, f_hi = f_offs[:-1], f_offs[1:]
-        # int32 holds every column: the cap bounds every set, and so every
-        # offset and charge.
-        table_rows = np.column_stack(
-            [raw_offs[:-1], raw_offs[1:], f_lo, f_hi, raw_cycles,
-             filter_cycles, inter, f_sizes]
-        ).astype(np.int32)
-        levels.append(TableLevel(table_rows, raw, vals, int(src >= 0)))
-        if leaf:
-            break
-
-        # Children become the next level's nodes.
-        parent = fseg
-        path = np.column_stack([path[parent], vals])
-        anc = {s: a[parent] for s, a in anc.items()}
-        if p in sources:
-            anc[p] = parent
-    return levels
+        out[:, RAW_LO] = raw_offs[:-1] + r0
+        out[:, RAW_HI] = raw_offs[1:] + r0
+        out[:, RAW_CYCLES] = raw_cycles
+        out[:, INTERSECTIONS] = inter
+        out[:, COUNT] = f_sizes
+        if p == plan.num_levels - 1:
+            out[:, F_LO] = out[:, F_HI] = 0
+            out[:, FILTER_CYCLES] = filter_cycles + f_sizes * cost.emit_match
+            return raw, None, None
+        out[:, FILTER_CYCLES] = filter_cycles
+        f_hi = np.cumsum(f_sizes) + v0
+        out[:, F_HI] = f_hi
+        out[:, F_LO] = f_hi - f_sizes
+        return raw, raw[fmask], fseg

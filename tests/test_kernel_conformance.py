@@ -32,8 +32,9 @@ from repro.core.config import StackMode, Strategy
 from repro.core.engine import TDFSEngine
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.recovery import snapshot_pending_work
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import barabasi_albert, erdos_renyi, with_hubs
 from repro.query.patterns import get_pattern
+from repro.taskqueue.tasks import PLACEHOLDER
 from repro.core.intersect import intersect_sorted
 from repro.errors import ReproError
 from repro.graph.builder import relabel_random
@@ -296,6 +297,19 @@ def assert_table_conformant(graph, query, config, engine="tdfs", label=""):
     return scalar, vec
 
 
+def spy_dequeued(monkeypatch):
+    """Record ``(3-vertex task, shipped from a table)`` per dequeued task."""
+    popped = []
+    inner = warp_matcher.MatchJob._process_task
+
+    def spy(job, warp, st, task):
+        popped.append((task.v3 != PLACEHOLDER, task in job._shipped))
+        return inner(job, warp, st, task)
+
+    monkeypatch.setattr(warp_matcher.MatchJob, "_process_task", spy)
+    return popped
+
+
 class TestFrontierTableConformance:
     """Tables replay the scalar DFS exactly, in every regime."""
 
@@ -324,6 +338,28 @@ class TestFrontierTableConformance:
         cfg = FAST.replace(tau_cycles=400)
         scalar, _ = assert_table_conformant(small_plc, pattern, cfg)
         assert scalar.queue.enqueued > 0
+
+    @pytest.mark.parametrize("pattern", ["P3", "P6"])
+    def test_dequeued_vertex_tasks(
+        self, tables, small_plc, monkeypatch, pattern
+    ):
+        # Timeouts at position 2 ship 3-vertex tasks; each replays from the
+        # level-3 node of the table it was shipped from (P6 also seeds
+        # position 4 from position 3, which a 3-vertex item reuses too).
+        popped = spy_dequeued(monkeypatch)
+        scalar, _ = assert_table_conformant(small_plc, pattern, STEAL)
+        assert scalar.timeouts > 0
+        assert (True, True) in popped
+
+    def test_reuse_from_position_2_keeps_vertex_tasks_scalar(
+        self, tables, small_plc, monkeypatch
+    ):
+        # P5 seeds position 4 from position 2's raw set.  A 3-vertex item
+        # recomputes that set as an intersection, so nothing is shipped.
+        popped = spy_dequeued(monkeypatch)
+        assert_table_conformant(small_plc, "P5", STEAL)
+        assert (True, False) in popped
+        assert (True, True) not in popped
 
     def test_half_steal(self, tables, skewed_graph):
         scalar, _ = assert_table_conformant(skewed_graph, "P3", HALF_STEAL)
@@ -359,9 +395,27 @@ class TestFrontierTableConformance:
             labeled_plc, case_query(7, num_labels=4), FAST, engine=engine
         )
 
-    def test_level_cap_falls_back(self, tables, small_plc, monkeypatch):
-        # A cap below one node's list leaves whole levels to the scalar path.
-        monkeypatch.setattr(frontier, "LEVEL_CAP", 12)
+    @pytest.mark.parametrize("pattern", ["P3", "P5"])
+    def test_sliced_build_covers_every_level(
+        self, tables, small_plc, monkeypatch, pattern
+    ):
+        # Slices far smaller than one node's list still build every node
+        # (P5 also probes a reuse seed's keys across slices).
+        monkeypatch.setattr(frontier, "SLICE_CAP", 12)
+        assert_table_conformant(small_plc, pattern, FAST)
+        inner = [
+            (t, p, lv)
+            for t in tables
+            if t is not None
+            for p, lv in enumerate(t)
+            if p > 2
+        ]
+        assert inner
+        assert all(lv.built == len(t[p - 1].vals) for t, p, lv in inner)
+
+    def test_table_budget_falls_back(self, tables, small_plc, monkeypatch):
+        # Nodes past the budget (and their subtrees) run on the scalar path.
+        monkeypatch.setattr(frontier, "TABLE_BUDGET", 40)
         assert_table_conformant(small_plc, "P3", FAST)
         assert any(
             lv.built < len(t[p - 1].vals)
@@ -370,6 +424,43 @@ class TestFrontierTableConformance:
             for p, lv in enumerate(t)
             if p > 2
         )
+
+    def test_hub_sets_fit_int32_rows(self, monkeypatch):
+        # Hubs of degree 1200 put sets of about a thousand elements in the
+        # table, and a budget of a few hub lists stops it mid-level.  Every
+        # int32 row must equal the same build in int64.
+        graph = with_hubs(
+            barabasi_albert(1500, 2, seed=5), num_hubs=3, hub_degree=1200,
+            seed=6, name="hubs",
+        )
+        monkeypatch.setattr(frontier, "TABLE_BUDGET", 4000)
+        pairs = []
+        inner = frontier.build_frontier_table
+
+        def spy(job, rows, keys):
+            table = inner(job, rows, keys)
+            with monkeypatch.context() as m:
+                m.setattr(frontier, "ROW_DTYPE", np.int64)
+                pairs.append((len(rows), table, inner(job, rows, keys)))
+            return table
+
+        monkeypatch.setattr(frontier, "build_frontier_table", spy)
+        assert_table_conformant(graph, "P2", FAST)
+        hit = False
+        for n, table, wide in pairs:
+            for p in range(2, len(table)):
+                lv = table[p]
+                assert lv.rows.dtype == np.int32
+                assert np.array_equal(lv.rows.astype(np.int64), wide[p].rows)
+                parents = n if p == 2 else len(table[p - 1].vals)
+                hit |= lv.built < parents
+        assert hit
+        assert max(
+            int(np.max(lv.rows[:, frontier.RAW_HI] - lv.rows[:, frontier.RAW_LO]))
+            for _, table, _ in pairs
+            for lv in table[2:]
+            if lv.built
+        ) > 500
 
     def test_fault_plan_recovery(self, tables, small_plc):
         cfg = FAST.replace(fault_plan=FaultPlan.seeded(3), retry=RetryPolicy())
